@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-smoke microbench chaos replication failover cover oracle-diff
+.PHONY: build test race vet check bench bench-smoke microbench chaos replication failover cover oracle-diff perfbench-check
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,13 @@ oracle-diff:
 
 check: build vet test oracle-diff
 
+# The serving benchmark (perfbench/) is a module of its own that calls
+# the server package, so the root `go build ./...` never compiles it.
+# This vets and tests it against the current tree, so a server API
+# change that breaks the benchmark fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Standing load harness (cmd/loadgen): mixed workloads against an
 # in-process lapushd, results merged into BENCH_<rev>.json. `bench` is
 # the trajectory run (record before and after a perf-relevant change —
@@ -110,4 +117,5 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=^$$ -fuzz='^FuzzRankBatchRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz='^FuzzAnytimeRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run=^$$ -fuzz='^FuzzAnswerEncoding$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz='^FuzzQuantile$$' -fuzztime=$(FUZZTIME) ./internal/bench

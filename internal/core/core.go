@@ -31,10 +31,6 @@ type Schema struct {
 	FDs []cq.FD
 }
 
-// EmptySchema returns a schema with no knowledge: every relation is
-// probabilistic and no FDs hold.
-func EmptySchema() *Schema { return &Schema{} }
-
 // IsProb reports whether relation rel is probabilistic under the schema.
 func (s *Schema) IsProb(rel string) bool {
 	return s == nil || !s.Det[rel]

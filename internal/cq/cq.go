@@ -252,29 +252,6 @@ func (q *Query) Atom(rel string) *Atom {
 	return nil
 }
 
-// AtomsWith returns the atoms containing variable x (the at(x) of the
-// paper).
-func (q *Query) AtomsWith(x Var) []Atom {
-	var out []Atom
-	for _, a := range q.Atoms {
-		if a.HasVar(x) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// PredsOn returns the predicates constraining variable x.
-func (q *Query) PredsOn(x Var) []Predicate {
-	var out []Predicate
-	for _, p := range q.Preds {
-		if p.Var == x {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // PredsOnAtom returns the predicates whose variable occurs in atom a —
 // the predicates a scan of a can apply as pushed-down selections.
 func (q *Query) PredsOnAtom(a Atom) []Predicate {

@@ -201,10 +201,6 @@ func (db *DB) noteValue(v Value) int32 {
 	return id
 }
 
-// NumValues returns the number of distinct values stored across all
-// relations (the size of the dense value-id space).
-func (db *DB) NumValues() int { return len(db.valIDs) }
-
 // Intern returns the Value for a string, adding it to the dictionary if
 // needed.
 func (db *DB) Intern(s string) Value {
@@ -317,15 +313,6 @@ func (r *Relation) Insert(tuple []Value, p float64) {
 	id := int32(len(r.db.varProb))
 	r.db.varProb = append(r.db.varProb, p)
 	r.vars = append(r.vars, id)
-}
-
-// InsertStrings encodes the string forms of a tuple and inserts it.
-func (r *Relation) InsertStrings(tuple []string, p float64) {
-	vals := make([]Value, len(tuple))
-	for i, s := range tuple {
-		vals[i] = r.db.EncodeConst(s)
-	}
-	r.Insert(vals, p)
 }
 
 // Row returns the i-th tuple (a view into internal storage; do not

@@ -244,15 +244,6 @@ func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Ev
 	return e
 }
 
-// WithContext binds the evaluator to a context: evaluation loops poll it
-// periodically and, when it is cancelled, unwind with a panic that
-// TrapCancel converts back into the context's error. Callers that bind a
-// context must wrap evaluation in TrapCancel.
-func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
-	e.cancel.ctx = ctx
-	return e
-}
-
 // bindMemo attaches the batch memo from the evaluator's options, and —
 // when the memo carries the batch-wide row budget — replaces the
 // per-evaluation budget with it.

@@ -102,25 +102,20 @@ func (s *Server) handleAnytimeQuery(w http.ResponseWriter, r *http.Request, req 
 		s.writeQueryError(w, err)
 		return
 	}
-	entry := anytimeEntry(res)
-	entry.safe = p.Safe()
+	entry := anytimeEntry(res, p.Safe())
 	s.putTighter(rkey, entry)
 	s.noteAnytime(res.Converged, res.Degraded, res.Width)
-	answers, _ := entry.anytimeTop(req.Top, eps)
-	converged := res.Converged && res.Degraded == ""
-	width := res.Width
-	writeJSON(w, http.StatusOK, queryResponse{
-		Answers:     answers,
-		Count:       len(answers),
-		Method:      req.Method,
-		Safe:        p.Safe(),
-		Cache:       cacheLabel(hit),
-		ResultCache: "miss",
-		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Converged:   &converged,
-		Degraded:    res.Degraded,
-		Width:       &width,
-		Epsilon:     &eps,
+	writeQuery(w, entry, req.Top, &queryEnvelope{
+		method:      req.Method,
+		safe:        p.Safe(),
+		cache:       cacheLabel(hit),
+		resultCache: "miss",
+		begin:       begin,
+		anytime:     true,
+		converged:   res.Converged && res.Degraded == "",
+		degraded:    res.Degraded,
+		width:       res.Width,
+		epsilon:     eps,
 	})
 }
 
@@ -143,25 +138,22 @@ func (s *Server) anytimeWithSlot(ctx context.Context, v *store.Version, p *lapus
 
 // writeAnytimeCached serves an anytime response from a cache entry —
 // a genuine hit (entry width within epsilon) or a stale degraded
-// fallback — recomputing per-answer convergence against the requested
+// fallback — with per-answer convergence judged against the requested
 // epsilon.
 func (s *Server) writeAnytimeCached(w http.ResponseWriter, req *queryRequest, safe, planHit bool, cacheLabelStr string, c *cachedResult, eps float64, degraded string, begin time.Time) {
-	answers, all := c.anytimeTop(req.Top, eps)
-	converged := all && degraded == ""
-	width := c.width
-	s.noteAnytime(converged, degraded, width)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Answers:     answers,
-		Count:       len(answers),
-		Method:      req.Method,
-		Safe:        safe,
-		Cache:       cacheLabel(planHit),
-		ResultCache: cacheLabelStr,
-		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Converged:   &converged,
-		Degraded:    degraded,
-		Width:       &width,
-		Epsilon:     &eps,
+	converged := c.allConverged(eps) && degraded == ""
+	s.noteAnytime(converged, degraded, c.width)
+	writeQuery(w, c, req.Top, &queryEnvelope{
+		method:      req.Method,
+		safe:        safe,
+		cache:       cacheLabel(planHit),
+		resultCache: cacheLabelStr,
+		begin:       begin,
+		anytime:     true,
+		converged:   converged,
+		degraded:    degraded,
+		width:       c.width,
+		epsilon:     eps,
 	})
 }
 

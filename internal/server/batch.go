@@ -64,33 +64,67 @@ type batchRequest struct {
 	Epsilon *float64 `json:"epsilon"`
 }
 
-// batchResultJSON is one query's slot in the response: answers on
-// success (with "cache" reporting whether the result cache served
-// them), or an error object with the same codes /v1/query would map to
-// an HTTP status.
-type batchResultJSON struct {
-	Answers []answerJSON `json:"answers,omitempty"`
-	Count   int          `json:"count"`
-	Safe    bool         `json:"safe"`
-	Cache   string       `json:"cache,omitempty"` // result cache: "hit" or "miss"
-	Error   *apiError    `json:"error,omitempty"`
-	// Anytime fields, present only when the batch carried an epsilon;
-	// per-query, since refinement may converge for one query and be cut
-	// short for its neighbor. See queryResponse for the semantics.
-	Converged *bool    `json:"converged,omitempty"`
-	Degraded  string   `json:"degraded,omitempty"`
-	Width     *float64 `json:"width,omitempty"`
+// batchSlot is one query's outcome in a batch response: the first top
+// answers of a cached (or just-cached) result, or an error object with
+// the same codes /v1/query would map to an HTTP status. On the wire:
+//
+//	{["answers":[...],]"count","safe"[,"cache"][,"error":{"code","message"}]
+//	 [,"converged"[,"degraded"],"width"]}
+//
+// "answers" is omitted when there are none, "cache" (the result cache:
+// "hit" or "miss") on errors. The anytime fields are per query, since
+// refinement may converge for one query and be cut short for its
+// neighbor; see queryEnvelope for their meaning.
+type batchSlot struct {
+	entry *cachedResult // nil on error
+	top   int
+	cache string
+	err   *apiError
+
+	anytime   bool
+	converged bool
+	degraded  string
 }
 
-type batchResponse struct {
-	Results     []batchResultJSON `json:"results"`
-	Count       int               `json:"count"`
-	Version     uint64            `json:"version"`
-	Fingerprint string            `json:"fingerprint"`
-	// SharedSubplanHits counts subplan evaluations served from another
-	// query's memoized work within this batch.
-	SharedSubplanHits int64   `json:"shared_subplan_hits"`
-	ElapsedMS         float64 `json:"elapsed_ms"`
+// appendTo appends the slot to a batch body, rendering anytime
+// convergence against the batch's epsilon.
+func (sl *batchSlot) appendTo(b *body, eps float64) {
+	n, safe := 0, false
+	if sl.entry != nil {
+		n, safe = sl.entry.count(sl.top), sl.entry.safe
+	}
+	b.raw("{")
+	if n > 0 {
+		b.raw(`"answers":[`)
+		b.answers(sl.entry, n, eps)
+		b.raw("],")
+	}
+	b.raw(`"count":`)
+	b.int(int64(n))
+	b.raw(`,"safe":`)
+	b.bool(safe)
+	if sl.cache != "" {
+		b.raw(`,"cache":`)
+		b.str(sl.cache)
+	}
+	if sl.err != nil {
+		b.raw(`,"error":{"code":`)
+		b.str(sl.err.Code)
+		b.raw(`,"message":`)
+		b.str(sl.err.Message)
+		b.raw("}")
+	}
+	if sl.anytime {
+		b.raw(`,"converged":`)
+		b.bool(sl.converged)
+		if sl.degraded != "" {
+			b.raw(`,"degraded":`)
+			b.str(sl.degraded)
+		}
+		b.raw(`,"width":`)
+		b.float(sl.entry.width)
+	}
+	b.raw("}")
 }
 
 func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
@@ -134,18 +168,18 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	v := s.store.Current()
 	begin := time.Now()
 
-	results := make([]batchResultJSON, len(req.Queries))
+	results := make([]batchSlot, len(req.Queries))
 	// Pass 1, before taking a worker slot: validate each query, then try
 	// the result cache. A batch whose queries were all answered at this
 	// version responds without ever entering the admission queue.
 	var todo []pendingBatchQuery
 	for i, bq := range req.Queries {
 		if strings.TrimSpace(bq.Query) == "" {
-			results[i] = batchResultJSON{Error: &apiError{Code: "missing_query", Message: `field "query" is required`}}
+			results[i] = batchSlot{err: &apiError{Code: "missing_query", Message: `field "query" is required`}}
 			continue
 		}
 		if bq.Top < 0 {
-			results[i] = batchResultJSON{Error: &apiError{Code: "bad_top", Message: `field "top" must be >= 0`}}
+			results[i] = batchSlot{err: &apiError{Code: "bad_top", Message: `field "top" must be >= 0`}}
 			continue
 		}
 		normalized, err := v.DB.NormalizeQuery(bq.Query)
@@ -162,7 +196,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			if isAnytime {
 				results[i] = s.anytimeBatchResult(c, bq.Top, eps, "hit", "")
 			} else {
-				results[i] = cachedBatchResult(c, bq.Top, "hit")
+				results[i] = batchSlot{entry: c, top: bq.Top, cache: "hit"}
 			}
 			continue
 		}
@@ -181,20 +215,40 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		sharedHits = s.runBatch(ctx, v, &req, ep, eps, isAnytime, todo, results)
 	}
 
+	writeBatch(w, results, eps, v, sharedHits, begin)
+}
+
+// writeBatch writes a /v1/rank_batch response:
+//
+//	{"results":[...],"count","version","fingerprint","shared_subplan_hits","elapsed_ms"}
+//
+// followed by a newline, where count is the number of queries that
+// succeeded.
+func writeBatch(w http.ResponseWriter, results []batchSlot, eps float64, v *store.Version, sharedHits int64, begin time.Time) {
+	b := newBody()
+	b.raw(`{"results":[`)
 	done := 0
-	for _, res := range results {
-		if res.Error == nil {
+	for i := range results {
+		if i > 0 {
+			b.raw(",")
+		}
+		results[i].appendTo(b, eps)
+		if results[i].err == nil {
 			done++
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResponse{
-		Results:           results,
-		Count:             done,
-		Version:           v.Seq,
-		Fingerprint:       v.Fingerprint,
-		SharedSubplanHits: sharedHits,
-		ElapsedMS:         float64(time.Since(begin).Microseconds()) / 1000,
-	})
+	b.raw(`],"count":`)
+	b.int(int64(done))
+	b.raw(`,"version":`)
+	b.uint(v.Seq)
+	b.raw(`,"fingerprint":`)
+	b.str(v.Fingerprint)
+	b.raw(`,"shared_subplan_hits":`)
+	b.int(sharedHits)
+	b.raw(`,"elapsed_ms":`)
+	b.float(float64(time.Since(begin).Microseconds()) / 1000)
+	b.raw("}\n")
+	b.send(w)
 }
 
 // pendingBatchQuery is one query that missed the result cache in pass
@@ -209,7 +263,7 @@ type pendingBatchQuery struct {
 // worker slot (released by defer — see rankWithSlot for why). One
 // lapushdb.Batch spans all of them, so subplan results flow across
 // queries and one row budget covers the batch.
-func (s *Server) runBatch(ctx context.Context, v *store.Version, req *batchRequest, ep evalParams, eps float64, isAnytime bool, todo []pendingBatchQuery, results []batchResultJSON) int64 {
+func (s *Server) runBatch(ctx context.Context, v *store.Version, req *batchRequest, ep evalParams, eps float64, isAnytime bool, todo []pendingBatchQuery, results []batchSlot) int64 {
 	defer s.release()
 	if s.testHookAfterAcquire != nil {
 		s.testHookAfterAcquire()
@@ -235,7 +289,7 @@ func (s *Server) runBatch(ctx context.Context, v *store.Version, req *batchReque
 		// have filled the entry since pass 1.
 		if c, ok := s.results.get(pq.key); ok {
 			s.metrics.resultCacheHits.Add(1)
-			results[pq.i] = cachedBatchResult(c, bq.Top, "hit")
+			results[pq.i] = batchSlot{entry: c, top: bq.Top, cache: "hit"}
 			continue
 		}
 		s.metrics.resultCacheMisses.Add(1)
@@ -250,9 +304,9 @@ func (s *Server) runBatch(ctx context.Context, v *store.Version, req *batchReque
 			continue
 		}
 		s.metrics.partitionsTotal.Add(stats.Partitions)
-		entry := &cachedResult{answers: toAnswerJSON(answers), safe: p.Safe()}
+		entry := &cachedResult{answers: answers, safe: p.Safe()}
 		s.results.put(pq.key, entry)
-		results[pq.i] = cachedBatchResult(entry, bq.Top, "miss")
+		results[pq.i] = batchSlot{entry: entry, top: bq.Top, cache: "miss"}
 	}
 	bs := batch.Stats()
 	s.metrics.sharedSubplanHits.Add(bs.SharedSubplanHits)
@@ -264,7 +318,7 @@ func (s *Server) runBatch(ctx context.Context, v *store.Version, req *batchReque
 // yields a non-converged interval in this slot (Degraded set) rather
 // than an error, and the remaining slots still run — they may be served
 // from already-memoized subplans even with the budget gone.
-func (s *Server) runBatchAnytime(ctx context.Context, v *store.Version, batch *lapushdb.Batch, req *batchRequest, ep evalParams, eps float64, pq pendingBatchQuery, bq batchQueryJSON) batchResultJSON {
+func (s *Server) runBatchAnytime(ctx context.Context, v *store.Version, batch *lapushdb.Batch, req *batchRequest, ep evalParams, eps float64, pq pendingBatchQuery, bq batchQueryJSON) batchSlot {
 	if c, ok := s.results.get(pq.key); ok && c.anytime && c.width <= eps {
 		s.metrics.resultCacheHits.Add(1)
 		return s.anytimeBatchResult(c, bq.Top, eps, "hit", "")
@@ -286,43 +340,25 @@ func (s *Server) runBatchAnytime(ctx context.Context, v *store.Version, batch *l
 	if err != nil {
 		return s.batchErrResult(err)
 	}
-	entry := anytimeEntry(res)
-	entry.safe = p.Safe()
+	entry := anytimeEntry(res, p.Safe())
 	s.putTighter(pq.key, entry)
 	return s.anytimeBatchResult(entry, bq.Top, eps, "miss", res.Degraded)
 }
 
-// anytimeBatchResult renders one anytime slot from a cache entry,
-// recomputing per-answer convergence against the requested epsilon.
-func (s *Server) anytimeBatchResult(c *cachedResult, top int, eps float64, label, degraded string) batchResultJSON {
-	answers, all := c.anytimeTop(top, eps)
-	converged := all && degraded == ""
-	width := c.width
-	s.noteAnytime(converged, degraded, width)
-	return batchResultJSON{
-		Answers:   answers,
-		Count:     len(answers),
-		Safe:      c.safe,
-		Cache:     label,
-		Converged: &converged,
-		Degraded:  degraded,
-		Width:     &width,
-	}
-}
-
-// cachedBatchResult renders one cached (or just-cached) result into
-// its response slot, applying the query's top-k cutoff.
-func cachedBatchResult(c *cachedResult, top int, label string) batchResultJSON {
-	answers := c.top(top)
-	return batchResultJSON{Answers: answers, Count: len(answers), Safe: c.safe, Cache: label}
+// anytimeBatchResult fills one anytime slot from a cache entry, with
+// convergence judged against the requested epsilon.
+func (s *Server) anytimeBatchResult(c *cachedResult, top int, eps float64, label, degraded string) batchSlot {
+	converged := c.allConverged(eps) && degraded == ""
+	s.noteAnytime(converged, degraded, c.width)
+	return batchSlot{entry: c, top: top, cache: label, anytime: true, converged: converged, degraded: degraded}
 }
 
 // batchErrResult maps one query's failure into its in-envelope error
 // object. The batch responds 200 with partial results, so the
 // per-query code carries what a standalone request would put in the
 // HTTP status; the per-class metrics are maintained identically.
-func (s *Server) batchErrResult(err error) batchResultJSON {
+func (s *Server) batchErrResult(err error) batchSlot {
 	_, code, msg := errorStatus(err)
 	s.noteQueryError(code)
-	return batchResultJSON{Error: &apiError{Code: code, Message: msg}}
+	return batchSlot{err: &apiError{Code: code, Message: msg}}
 }

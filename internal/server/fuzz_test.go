@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -164,5 +166,49 @@ func FuzzAnytimeRequest(f *testing.F) {
 		if qr.Width != nil && (*qr.Width < 0 || *qr.Width > 1) {
 			t.Fatalf("width %g out of range (body %q)", *qr.Width, body)
 		}
+	})
+}
+
+// FuzzAnswerEncoding pins the response appender byte-equal to
+// encoding/json with SetEscapeHTML(false) — the encoder /v1/query and
+// /v1/rank_batch bodies were defined by — for arbitrary strings and
+// floats: a lone string, a lone float, a point answer and an anytime
+// answer (head plus converged literal). A value encoding/json rejects
+// (NaN, ±Inf) must be rejected by the appender too.
+func FuzzAnswerEncoding(f *testing.F) {
+	f.Add("plain", "", 0.5, 0.25, 0.5, true)
+	f.Add("bad\xffutf8\xc3\x28", "\xed\xa0\x80", 1e-6, 9.999999999999999e-7, 1e-7, false) // invalid UTF-8, surrogate
+	f.Add("sep\u2028\u2029", "\u00e9\u65e5\U0001F600", 1e21, 9.999999999999999e20, 1e20, true)
+	f.Add("ctl\x00\x01\x1f\x7f\b\f\n\r\t", "", math.Copysign(0, -1), 0.0, 5e-324, false) // -0, subnormal
+	f.Add(`"quote" and \back\slash`, "<a&b>", 2.2250738585072014e-308, 1.0, 123456789.125, true)
+	f.Add("nan", "inf", math.NaN(), math.Inf(1), math.Inf(-1), false)
+	f.Add("x", "y", 0.5, math.NaN(), 0.5, true)
+	f.Fuzz(func(t *testing.T, s1, s2 string, score, lower, upper float64, converged bool) {
+		same := func(what string, got []byte, gotErr error, v any) {
+			t.Helper()
+			want, wantErr := oracleEncode(v)
+			if (gotErr != nil) != (wantErr != nil) {
+				t.Fatalf("%s: appender error %v, encoding/json error %v", what, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			want = bytes.TrimSuffix(want, []byte("\n"))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s:\n got %q\nwant %q", what, got, want)
+			}
+		}
+		same("string", appendString(nil, s1), nil, s1)
+		for _, x := range []float64{score, lower, upper} {
+			got, err := appendFloat(nil, x)
+			same("float", got, err, x)
+		}
+		values := []string{s1, s2}
+		got, err := appendAnswer(nil, values, score)
+		same("point answer", got, err, answerJSON{Values: values, Score: score})
+		got, err = appendIntervalHead(nil, values, lower, upper)
+		got = append(got, convergedTail(converged)...)
+		same("anytime answer", got, err, answerJSON{Values: values, Score: upper,
+			Interval: &intervalJSON{Lower: lower, Upper: upper, Converged: converged}})
 	})
 }

@@ -1,65 +1,145 @@
 package server
 
 import (
+	"errors"
+	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"lapushdb"
 )
 
 // Result cache. A cachedResult is one query's fully evaluated, ranked
-// answer list against one store version. Entries are immutable: the
-// answers slice is never mutated after insertion, and per-request "top"
-// truncation slices a view instead of copying. Because the cache key
-// starts with the pinned version's fingerprint — which changes on every
-// ingested mutation batch — ingestion invalidates the whole cache
-// naturally, with stale entries aging out of the LRU.
+// answer list against one store version. The answers are immutable
+// after insertion. Because the cache key starts with the pinned
+// version's fingerprint — which changes on every ingested mutation
+// batch — ingestion invalidates the whole cache naturally, with stale
+// entries aging out of the LRU.
+//
+// Each entry also memoizes the JSON encoding of its answers, lazily:
+// the prefix covering the first k answers served so far. A response
+// for top n <= k is a slice of those bytes; a larger n extends the
+// prefix once. Encoding only what has been asked for matters because
+// a ranking may hold thousands of answers while its requests ask for
+// ten (see encode.go for the byte format).
 type cachedResult struct {
-	answers []answerJSON
-	safe    bool
+	answers   []lapushdb.Answer         // point entries
+	intervals []lapushdb.IntervalAnswer // anytime entries
+	safe      bool
 
 	// Anytime entries are tagged with the width they achieved: a
 	// request with epsilon >= width is a hit (its target is already
 	// met), a tighter request re-refines instead of being served a
 	// stale loose interval, and shed/deadline fallbacks may serve any
-	// width as a degraded 200.
+	// width as a degraded 200. widest is the widest per-answer gap
+	// upper − lower, so every answer converged at epsilon exactly when
+	// widest <= epsilon.
 	anytime bool
 	width   float64
+	widest  float64
+
+	// mu serializes prefix extension; enc is the latest published
+	// prefix, read without the lock.
+	mu  sync.Mutex
+	enc atomic.Pointer[encodedPrefix]
 }
 
-// top returns the first n answers (all of them when n <= 0). The
-// returned slice aliases the cached one; callers must not modify it.
-func (c *cachedResult) top(n int) []answerJSON {
-	if n > 0 && n < len(c.answers) {
-		return c.answers[:n]
+// encodedPrefix is an immutable snapshot of an entry's encoded answers.
+// Answer i is buf[ends[i-1]:ends[i]] (from 0 for i = 0), with a leading
+// comma for i > 0, so the first n answers are buf[:ends[n-1]]. An
+// anytime answer stops just before its "converged" value, which depends
+// on the requested epsilon and is spliced in per response.
+type encodedPrefix struct {
+	buf  []byte
+	ends []int32
+}
+
+// anytimeEntry builds the width-tagged cache entry for one anytime
+// result. The score slot carries the upper bound — the same guaranteed
+// bound the dissociation method ranks by.
+func anytimeEntry(res *lapushdb.AnytimeResult, safe bool) *cachedResult {
+	c := &cachedResult{intervals: res.Answers, safe: safe, anytime: true, width: res.Width}
+	for _, a := range res.Answers {
+		c.widest = max(c.widest, a.Upper-a.Lower) // NaN propagates: never converged
 	}
-	return c.answers
+	return c
 }
 
-// anytimeTop renders the first n interval answers with per-answer
-// convergence recomputed against the requesting epsilon (the cached
-// flags reflect the epsilon the entry was refined for, which may
-// differ). Returns the answers and whether all of them converged.
-func (c *cachedResult) anytimeTop(n int, eps float64) ([]answerJSON, bool) {
-	all := true
-	src := c.answers
-	out := make([]answerJSON, len(src))
-	for i, a := range src {
-		out[i] = a
-		if a.Interval != nil {
-			iv := *a.Interval
-			iv.Converged = iv.Upper-iv.Lower <= eps
-			if !iv.Converged {
-				all = false
-			}
-			out[i].Interval = &iv
+func (c *cachedResult) len() int {
+	if c.anytime {
+		return len(c.intervals)
+	}
+	return len(c.answers)
+}
+
+// count resolves a request's top to the number of answers it gets (all
+// of them when top <= 0).
+func (c *cachedResult) count(top int) int {
+	n := c.len()
+	if top > 0 && top < n {
+		return top
+	}
+	return n
+}
+
+// converged reports whether anytime answer i reached epsilon.
+func (c *cachedResult) converged(i int, eps float64) bool {
+	a := &c.intervals[i]
+	return a.Upper-a.Lower <= eps
+}
+
+// allConverged reports whether every answer — not only the served
+// ones — reached epsilon.
+func (c *cachedResult) allConverged(eps float64) bool { return c.widest <= eps }
+
+// prefix returns an encoded prefix covering at least the first n
+// answers (1 <= n <= c.len()). A covering snapshot is read lock-free;
+// otherwise the prefix is extended under mu and republished. Extension
+// appends past the end of the previous snapshot's bytes (reallocating
+// when full) and never rewrites them, so readers of older snapshots
+// are unaffected.
+func (c *cachedResult) prefix(n int) (*encodedPrefix, error) {
+	if p := c.enc.Load(); p != nil && len(p.ends) >= n {
+		return p, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.enc.Load()
+	if p == nil {
+		p = &encodedPrefix{}
+	} else if len(p.ends) >= n {
+		return p, nil
+	}
+	buf, ends := p.buf, p.ends
+	for i := len(ends); i < n; i++ {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
+		var err error
+		if c.anytime {
+			a := &c.intervals[i]
+			buf, err = appendIntervalHead(buf, a.Values, a.Lower, a.Upper)
+		} else {
+			a := &c.answers[i]
+			buf, err = appendAnswer(buf, a.Values, a.Score)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) > math.MaxInt32 {
+			return nil, errPrefixTooLarge
+		}
+		ends = append(ends, int32(len(buf)))
 	}
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out, all
+	p = &encodedPrefix{buf: buf, ends: ends}
+	c.enc.Store(p)
+	return p, nil
 }
+
+// errPrefixTooLarge guards the int32 offsets of an encoded prefix.
+var errPrefixTooLarge = errors.New("encoded answers exceed 2 GiB")
 
 // resultCacheKey derives the result-cache key for one query: the pinned
 // version's fingerprint, the method, every request knob that can change
@@ -90,31 +170,6 @@ func resultCacheKey(fingerprint, method, normalized string, ignoreSchema bool, s
 	b.WriteByte(0)
 	b.WriteString(normalized)
 	return b.String()
-}
-
-// toAnswerJSON converts ranked answers to their JSON form once, for
-// both the response and the cache entry.
-func toAnswerJSON(answers []lapushdb.Answer) []answerJSON {
-	out := make([]answerJSON, len(answers))
-	for i, a := range answers {
-		out[i] = answerJSON{Values: a.Values, Score: a.Score}
-	}
-	return out
-}
-
-// anytimeEntry builds the width-tagged cache entry for one anytime
-// result. The score slot carries the upper bound — the same guaranteed
-// bound the dissociation method ranks by.
-func anytimeEntry(res *lapushdb.AnytimeResult) *cachedResult {
-	answers := make([]answerJSON, len(res.Answers))
-	for i, a := range res.Answers {
-		answers[i] = answerJSON{
-			Values:   a.Values,
-			Score:    a.Upper,
-			Interval: &intervalJSON{Lower: a.Lower, Upper: a.Upper, Converged: a.Converged},
-		}
-	}
-	return &cachedResult{answers: answers, anytime: true, width: res.Width}
 }
 
 // putTighter inserts an anytime entry unless the cache already holds a

@@ -24,6 +24,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,6 +33,7 @@ import (
 	"math"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,12 +319,35 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 	}
 }
 
+// writeJSON encodes v before committing to a status, so a value that
+// cannot be encoded (a NaN or ±Inf float) becomes a 500 with the typed
+// internal error instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	startJSON(w, code, buf.Len())
+	// A failed write means the client went away; there is no one left
+	// to tell.
+	_, _ = w.Write(buf.Bytes())
+}
+
+// startJSON sends the status line and headers of a JSON body of the
+// given size.
+func startJSON(w http.ResponseWriter, code, size int) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(code)
+}
+
+// writeEncodeError answers a response that failed to encode.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusInternalServerError, "internal", fmt.Sprintf("internal error: encode response: %v", err))
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -491,51 +516,75 @@ type queryRequest struct {
 	Epsilon *float64 `json:"epsilon"`
 }
 
-// intervalJSON is an anytime answer's probability interval.
-type intervalJSON struct {
-	Lower     float64 `json:"lower"`
-	Upper     float64 `json:"upper"`
-	Converged bool    `json:"converged"`
-}
-
-type answerJSON struct {
-	Values []string `json:"values"`
-	Score  float64  `json:"score"`
-	// Interval is present on anytime responses; Score echoes the upper
-	// bound. Upper is a guaranteed bound from the deterministic
-	// dissociation stages. Lower is guaranteed when the exact stage
-	// produced it; once Monte Carlo refinement takes over, it is a
-	// one-sided normal-tail confidence bound (z = 6, see
-	// internal/anytime.DefaultMCZ) — the true probability lies above it
-	// with overwhelming statistical confidence, not with certainty.
-	Interval *intervalJSON `json:"interval,omitempty"`
-}
-
-type queryResponse struct {
-	Answers []answerJSON `json:"answers"`
-	Count   int          `json:"count"`
-	Method  string       `json:"method"`
-	Safe    bool         `json:"safe"`
-	Cache   string       `json:"cache"` // plan cache: "hit" or "miss"
-	// ResultCache reports whether the fully evaluated answer list was
-	// served from the result cache ("hit") or computed ("miss").
-	ResultCache string  `json:"result_cache"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-	// Partitions is the number of morsel chunks and join partitions the
+// queryEnvelope is the part of a /v1/query response around its
+// answers. On the wire:
+//
+//	{"answers":[...],"count","method","safe","cache","result_cache","elapsed_ms","partitions"
+//	 [,"converged"[,"degraded"],"width","epsilon"]}
+//
+// followed by a newline.
+type queryEnvelope struct {
+	method string
+	safe   bool
+	cache  string // plan cache: "hit" or "miss"
+	// resultCache reports whether the fully evaluated answer list was
+	// served from the result cache ("hit"), computed ("miss"), or, on
+	// an anytime fallback, served stale ("stale").
+	resultCache string
+	begin       time.Time // start of the request, for elapsed_ms
+	// partitions is the number of morsel chunks and join partitions the
 	// query's operators processed (dissociation method only; 0 when
 	// every operator input fit in one chunk).
-	Partitions int64 `json:"partitions"`
+	partitions int64
 
-	// Anytime fields, present only when the request carried an epsilon.
-	// Converged reports whether every answer's interval reached the
-	// requested width; Degraded is "" normally and "deadline",
+	// Anytime fields, written only when the request carried an epsilon.
+	// converged reports whether every answer's interval reached the
+	// requested width; degraded is "" normally and "deadline",
 	// "budget", or "shed" when refinement was cut short but best-so-far
-	// bounds were still served; Width is the widest answer interval;
-	// Epsilon echoes the request.
-	Converged *bool    `json:"converged,omitempty"`
-	Degraded  string   `json:"degraded,omitempty"`
-	Width     *float64 `json:"width,omitempty"`
-	Epsilon   *float64 `json:"epsilon,omitempty"`
+	// bounds were still served (omitted when ""); width is the widest
+	// answer interval; epsilon echoes the request.
+	anytime   bool
+	converged bool
+	degraded  string
+	width     float64
+	epsilon   float64
+}
+
+// writeQuery writes a /v1/query response: the first top answers of c
+// (all of them when top is 0) inside env.
+func writeQuery(w http.ResponseWriter, c *cachedResult, top int, env *queryEnvelope) {
+	b := newBody()
+	n := c.count(top)
+	b.raw(`{"answers":[`)
+	b.answers(c, n, env.epsilon)
+	b.raw(`],"count":`)
+	b.int(int64(n))
+	b.raw(`,"method":`)
+	b.str(env.method)
+	b.raw(`,"safe":`)
+	b.bool(env.safe)
+	b.raw(`,"cache":`)
+	b.str(env.cache)
+	b.raw(`,"result_cache":`)
+	b.str(env.resultCache)
+	b.raw(`,"elapsed_ms":`)
+	b.float(float64(time.Since(env.begin).Microseconds()) / 1000)
+	b.raw(`,"partitions":`)
+	b.int(env.partitions)
+	if env.anytime {
+		b.raw(`,"converged":`)
+		b.bool(env.converged)
+		if env.degraded != "" {
+			b.raw(`,"degraded":`)
+			b.str(env.degraded)
+		}
+		b.raw(`,"width":`)
+		b.float(env.width)
+		b.raw(`,"epsilon":`)
+		b.float(env.epsilon)
+	}
+	b.raw("}\n")
+	b.send(w)
 }
 
 // evalParams are the evaluation knobs shared by /v1/query and
@@ -666,15 +715,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rkey := resultCacheKey(v.Fingerprint, req.Method, normalized, req.IgnoreSchema, ep.samples, req.Seed)
 	if c, ok := s.results.get(rkey); ok {
 		s.metrics.resultCacheHits.Add(1)
-		answers := c.top(req.Top)
-		writeJSON(w, http.StatusOK, queryResponse{
-			Answers:     answers,
-			Count:       len(answers),
-			Method:      req.Method,
-			Safe:        c.safe,
-			Cache:       cacheLabel(hit),
-			ResultCache: "hit",
-			ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
+		writeQuery(w, c, req.Top, &queryEnvelope{
+			method:      req.Method,
+			safe:        c.safe,
+			cache:       cacheLabel(hit),
+			resultCache: "hit",
+			begin:       begin,
 		})
 		return
 	}
@@ -689,18 +735,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.partitionsTotal.Add(stats.Partitions)
-	entry := &cachedResult{answers: toAnswerJSON(answers), safe: p.Safe()}
+	entry := &cachedResult{answers: answers, safe: p.Safe()}
 	s.results.put(rkey, entry)
-	top := entry.top(req.Top)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Answers:     top,
-		Count:       len(top),
-		Method:      req.Method,
-		Safe:        p.Safe(),
-		Cache:       cacheLabel(hit),
-		ResultCache: "miss",
-		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Partitions:  stats.Partitions,
+	writeQuery(w, entry, req.Top, &queryEnvelope{
+		method:      req.Method,
+		safe:        p.Safe(),
+		cache:       cacheLabel(hit),
+		resultCache: "miss",
+		begin:       begin,
+		partitions:  stats.Partitions,
 	})
 }
 
